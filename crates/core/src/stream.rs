@@ -19,7 +19,8 @@
 //!   chunking (property-tested): the coarse pass evaluates exactly the
 //!   offline offsets in the offline order, and the fine pass runs the
 //!   shared view-based refinement on the captured neighborhood of the
-//!   coarse maximum.
+//!   coarse maximum — once per location: the provisional refinement is
+//!   reused at `finish()` unless the maximum has moved since.
 //! * [`AuthSession`] — one authentication attempt as a **sans-IO** typed
 //!   state machine ([`SessionPhase::Idle`] → `Challenged` → `Listening` →
 //!   `Decided`). The session never touches radios, microphones, or clocks:
@@ -180,6 +181,16 @@ impl Capture {
     }
 }
 
+/// One signature's provisional fine scan: the refined `(power, loc)` and
+/// the window evaluations it took, for the coarse maximum at `at`.
+#[derive(Clone, Copy, Debug)]
+struct Refinement {
+    at: usize,
+    power: f64,
+    loc: usize,
+    evals: usize,
+}
+
 /// The shared sample ring under the streaming scan: a flat buffer whose
 /// element `buf[i]` holds absolute stream sample `base + i`, with
 /// `total − base` samples resident. Compaction drops samples no future
@@ -261,6 +272,10 @@ impl SampleRing {
 /// [`finish`](Self::finish) at end-of-stream for the exact offline result.
 /// Memory is `O(signal_len + fine_radius)` per tracked signature plus one
 /// shared ring of the same order — independent of stream length.
+///
+/// Each signature's fine scan runs at most once per coarse location:
+/// `push` keeps the provisional refinement it runs once a maximum clears
+/// the threshold, and `finish()` reuses it unless the maximum moved since.
 #[derive(Debug)]
 pub struct StreamingDetector {
     detector: Arc<Detector>,
@@ -282,10 +297,13 @@ pub struct StreamingDetector {
     /// Reused scratch for each tick's batch of coarse offsets.
     coarse_offsets: Vec<usize>,
     early: Vec<Option<EarlyDetection>>,
-    /// Coarse location already early-attempted per signature, to avoid
-    /// re-running the fine scan on an unchanged maximum.
-    early_attempted: Vec<Option<usize>>,
+    /// The provisional fine scan per signature, found or not, keyed by
+    /// the coarse location it refined: `try_early` never repeats it and
+    /// `finish()` reuses it while the maximum stays put.
+    refined: Vec<Option<Refinement>>,
     early_fine_evals: usize,
+    /// Fine-window evaluations actually executed, early and finish-time.
+    fine_evals_run: usize,
     /// Confidence multiplier on the provisional `ε·R_S` gate (≥ 1).
     early_margin: f64,
     scratch: SpectrumScratch,
@@ -313,8 +331,9 @@ impl StreamingDetector {
             captures: vec![Capture::default(); n],
             coarse_offsets: Vec::new(),
             early: vec![None; n],
-            early_attempted: vec![None; n],
+            refined: vec![None; n],
             early_fine_evals: 0,
+            fine_evals_run: 0,
             early_margin: 1.0,
             scratch: SpectrumScratch::default(),
             spectrum: Vec::new(),
@@ -338,10 +357,18 @@ impl StreamingDetector {
     }
 
     /// Window evaluations spent on provisional (early) fine scans. These
-    /// are *excluded* from [`ScanResult::ffts_used`], which matches the
-    /// offline count exactly.
+    /// are counted apart from [`ScanResult::ffts_used`], which matches the
+    /// offline count exactly — a provisional refinement that `finish()`
+    /// reuses counts in both, although it ran once.
     pub fn early_fine_evals(&self) -> usize {
         self.early_fine_evals
+    }
+
+    /// Fine-window evaluations this scan actually executed: provisional
+    /// refinements plus the finish-time ones that could not be reused.
+    #[cfg(test)]
+    pub(crate) fn fine_evals_run(&self) -> usize {
+        self.fine_evals_run
     }
 
     /// Whether [`finish`](Self::finish) has run.
@@ -574,6 +601,9 @@ impl StreamingDetector {
 
     /// Runs the provisional fine scan for signature `i` if its running
     /// maximum newly clears the threshold with a complete neighborhood.
+    /// The refinement is recorded whether or not it clears the threshold,
+    /// so it runs at most once per coarse location and
+    /// [`finish`](Self::finish) can reuse it.
     fn try_early(&mut self, i: usize) -> Option<StreamEvent> {
         if self.early[i].is_some() {
             return None;
@@ -583,10 +613,9 @@ impl StreamingDetector {
         if !p.is_finite() || p < gate {
             return None;
         }
-        if !self.captures[i].complete() || self.early_attempted[i] == Some(loc) {
+        if !self.captures[i].complete() || self.refined[i].is_some_and(|r| r.at == loc) {
             return None;
         }
-        self.early_attempted[i] = Some(loc);
         let radius = self.detector.config().fine_radius;
         let cap = &self.captures[i];
         // The neighborhood is fully buffered, so the fine window range is
@@ -599,7 +628,14 @@ impl StreamingDetector {
             (p, loc),
             self.mode,
         );
+        self.refined[i] = Some(Refinement {
+            at: loc,
+            power: fine_p,
+            loc: fine_loc,
+            evals,
+        });
         self.early_fine_evals += evals;
+        self.fine_evals_run += evals;
         match self
             .detector
             .threshold_detection(fine_p, fine_loc, &self.sigs[i])
@@ -624,6 +660,14 @@ impl StreamingDetector {
     /// [`Detector::detect_many`] over the full concatenated buffer,
     /// including [`ScanResult::ffts_used`]. Idempotent: repeated calls
     /// return the cached result.
+    ///
+    /// A signature whose maximum has not moved since its provisional
+    /// refinement reuses it instead of scanning again: its capture is
+    /// frozen once complete, and a complete capture means the stream runs
+    /// past `loc + fine_radius + signal_len`, so the end-of-stream clamp
+    /// on the fine range cannot bite and the scan would repeat the same
+    /// windows. The reused evaluations still count in `ffts_used`, which
+    /// keeps its offline meaning.
     pub fn finish(&mut self) -> ScanResult {
         if let Some(result) = &self.result {
             return result.clone();
@@ -644,19 +688,35 @@ impl StreamingDetector {
         if !last.is_multiple_of(step) {
             self.eval_coarse(last);
         }
+        let radius = self.detector.config().fine_radius;
         let mut ffts = self.coarse_evals;
         let mut detections = Vec::with_capacity(self.sigs.len());
         for i in 0..self.sigs.len() {
             let coarse = (self.best_power[i], self.best_at[i]);
-            let cap = &self.captures[i];
-            let (samples, base): (&[f64], usize) = if cap.valid {
-                (&cap.data, cap.start)
-            } else {
-                (&[], 0)
+            let (p, loc, evals) = match self.refined[i] {
+                Some(r) if r.at == coarse.1 => {
+                    debug_assert!(r.at + radius <= last, "reused refinement was clamped");
+                    (r.power, r.loc, r.evals)
+                }
+                _ => {
+                    let cap = &self.captures[i];
+                    let (samples, base): (&[f64], usize) = if cap.valid {
+                        (&cap.data, cap.start)
+                    } else {
+                        (&[], 0)
+                    };
+                    let refined = self.detector.fine_scan_view(
+                        samples,
+                        base,
+                        last,
+                        &self.sigs[i],
+                        coarse,
+                        self.mode,
+                    );
+                    self.fine_evals_run += refined.2;
+                    refined
+                }
             };
-            let (p, loc, evals) =
-                self.detector
-                    .fine_scan_view(samples, base, last, &self.sigs[i], coarse, self.mode);
             ffts += evals;
             detections.push(self.detector.threshold_detection(p, loc, &self.sigs[i]));
         }
@@ -1612,7 +1672,8 @@ pub struct ServiceStats {
     /// Connections dropped for framing/protocol violations (only the
     /// offending connection is dropped; the service keeps running).
     pub connections_dropped: u64,
-    /// Wire frames decoded (audio frames only).
+    /// Wire frames decoded (audio frames only: stream batches and
+    /// re-check answers).
     pub frames_decoded: u64,
     /// Audio bytes as they crossed the wire (post-codec, frame prefixes
     /// included).
@@ -2490,6 +2551,149 @@ mod tests {
         let final_result = s.finish();
         assert_eq!(final_result.detections[0], early);
         assert!(s.early_fine_evals() > 0);
+    }
+
+    /// Fine-window evaluations per refinement under the default
+    /// configuration: `2·fine_radius / fine_step + 1`.
+    const FINE_EVALS_PER_SIG: usize = 301;
+
+    #[test]
+    fn fleet_hub_scan_refines_every_signature_exactly_once() {
+        // The gateway fleet tick: 64 sessions' signals in one hub
+        // recording (the `continuum::sim` geometry), scanned in hub-sized
+        // ticks. Each signature's provisional refinement is the one
+        // `finish()` reports, so the fine pass runs once per signature
+        // while `ffts_used` keeps the offline count.
+        use crate::continuum::sim::{SA_OFFSET, STRIDE, SV_OFFSET, TAIL};
+        let mut service = AuthService::new(PianoConfig::with_threshold(1.0));
+        let mut r = rng(90);
+        let ids: Vec<SessionId> = (0..64)
+            .map(|_| service.open_session(false, &mut r))
+            .collect();
+        let mut hub = vec![0.0; ids.len() * STRIDE + TAIL];
+        let mut sigs = Vec::new();
+        for (i, id) in ids.iter().enumerate() {
+            let session = service.session(*id).unwrap();
+            let wave_a = session.waveform_of(SignalRole::Auth).unwrap();
+            let wave_v = session.waveform_of(SignalRole::Vouch).unwrap();
+            embed_into(&mut hub, &wave_a, i * STRIDE + SA_OFFSET, 0.4);
+            embed_into(&mut hub, &wave_v, i * STRIDE + SV_OFFSET, 0.3);
+            sigs.push(session.sig_a.clone().unwrap());
+            sigs.push(session.sig_v.clone().unwrap());
+        }
+        let action = service.config().action.clone();
+        let detector = service.detector_for(&action);
+        let mut s = StreamingDetector::new(Arc::clone(&detector), sigs.clone());
+        let driver = ScanDriver::new(2);
+        for c in hub.chunks(16_384) {
+            let _ = driver.drive(&mut s, c);
+        }
+        let result = s.finish();
+        let offline = detector.detect_many(&hub, &sigs.iter().collect::<Vec<_>>());
+        assert_eq!(result, offline);
+        assert!(result.detections.iter().all(Detection::is_found));
+
+        let fine = sigs.len() * FINE_EVALS_PER_SIG;
+        assert_eq!(s.coarse_evals, 800);
+        assert_eq!(s.early_fine_evals(), fine);
+        assert_eq!(result.ffts_used - s.coarse_evals, fine);
+        assert_eq!(s.fine_evals_run(), fine, "one fine scan per signature");
+        assert_eq!(s.coarse_evals + s.fine_evals_run(), 39_328);
+
+        // Each feed's voucher scan in the same epoch: a 16 384-sample
+        // recording with S_A at 2 000 and S_V at 7 871, in 4 096-sample
+        // frames — 14 coarse windows and one refinement per signature.
+        let mut rec = vec![0.0; 16_384];
+        let session = service.session(ids[0]).unwrap();
+        let wave_a = session.waveform_of(SignalRole::Auth).unwrap();
+        let wave_v = session.waveform_of(SignalRole::Vouch).unwrap();
+        embed_into(&mut rec, &wave_a, 2_000, 0.3);
+        embed_into(&mut rec, &wave_v, 7_871, 0.4);
+        let mut v = StreamingDetector::new(Arc::clone(&detector), sigs[..2].to_vec());
+        for c in rec.chunks(4_096) {
+            let _ = v.push(c);
+        }
+        let result = v.finish();
+        assert_eq!(result, detector.detect_many(&rec, &[&sigs[0], &sigs[1]]));
+        assert_eq!(v.coarse_evals, 14);
+        assert_eq!(v.fine_evals_run(), 2 * FINE_EVALS_PER_SIG);
+        assert_eq!(result.ffts_used, v.coarse_evals + v.fine_evals_run());
+    }
+
+    #[test]
+    fn a_moved_maximum_is_refined_again_at_finish() {
+        // A weak copy of the signal fires a provisional detection; a
+        // stronger copy later moves the coarse maximum, so `finish()`
+        // cannot reuse the early refinement and scans the new location.
+        let cfg = config();
+        let detector = Arc::new(Detector::new(&cfg));
+        let signal = ReferenceSignal::from_indices(&cfg, vec![3, 12, 24], &mut rng(91));
+        let sig = SignalSignature::of(&signal, &cfg);
+        let mut rec = vec![0.0; 60_000];
+        embed_into(&mut rec, &signal.waveform(), 9_000, 0.15);
+        embed_into(&mut rec, &signal.waveform(), 40_000, 0.5);
+        let offline = detector.detect_many(&rec, &[&sig]);
+        for chunk in [1_000, 4_096] {
+            let mut s = StreamingDetector::new(Arc::clone(&detector), vec![sig.clone()]);
+            for c in rec.chunks(chunk) {
+                let _ = s.push(c);
+            }
+            let early = *s.early_detection(0).expect("the weak copy fires early");
+            let result = s.finish();
+            assert_eq!(result, offline, "chunk size {chunk}");
+            let (
+                Detection::Found {
+                    location: early_loc,
+                    ..
+                },
+                Detection::Found { location, .. },
+            ) = (early.detection, result.detections[0])
+            else {
+                panic!("both copies must be found: {result:?}");
+            };
+            assert!(
+                early_loc < 20_000 && location > 30_000,
+                "{early_loc} → {location}"
+            );
+            assert_eq!(s.early_fine_evals(), FINE_EVALS_PER_SIG);
+            assert_eq!(result.ffts_used - s.coarse_evals, FINE_EVALS_PER_SIG);
+            assert_eq!(s.fine_evals_run(), 2 * FINE_EVALS_PER_SIG);
+        }
+    }
+
+    #[test]
+    fn without_a_provisional_refinement_finish_refines_once() {
+        // A provisional refinement starts from a coarse power that
+        // already cleared `margin·ε·R_S` and only ever raises it, so it
+        // always yields a detection and there is no NotPresent refinement
+        // to reuse. The complementary case is a maximum that never
+        // cleared the provisional gate: `finish()` runs its only fine
+        // scan, and the result still matches the offline scan.
+        let cfg = config();
+        let detector = Arc::new(Detector::new(&cfg));
+        let signal = ReferenceSignal::from_indices(&cfg, vec![3, 12, 24], &mut rng(92));
+        let sig = SignalSignature::of(&signal, &cfg);
+        let mut rec = vec![0.0; 30_000];
+        embed_into(&mut rec, &signal.waveform(), 9_000, 0.3);
+        let offline = detector.detect_many(&rec, &[&sig]);
+        assert!(offline.detections[0].is_found());
+        for margin in [1.0, 1e12] {
+            let mut s = StreamingDetector::new(Arc::clone(&detector), vec![sig.clone()]);
+            s.set_early_margin(margin);
+            for c in rec.chunks(1_000) {
+                let _ = s.push(c);
+            }
+            assert_eq!(
+                s.refined[0].is_some(),
+                s.early_detection(0).is_some(),
+                "every provisional refinement is a provisional detection"
+            );
+            let result = s.finish();
+            assert_eq!(result, offline, "margin {margin}");
+            assert_eq!(s.fine_evals_run(), FINE_EVALS_PER_SIG, "margin {margin}");
+            let early = if margin == 1.0 { FINE_EVALS_PER_SIG } else { 0 };
+            assert_eq!(s.early_fine_evals(), early, "margin {margin}");
+        }
     }
 
     #[test]

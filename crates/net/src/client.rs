@@ -16,8 +16,9 @@
 //! are re-cut deterministically from the source recording — and the
 //! resumed sample stream is byte-identical to an unbroken run. An
 //! admission-control [`Message::Retry`] (the server shedding load)
-//! surfaces as [`PianoError::Overloaded`] and is retried after the
-//! server's hint plus backoff.
+//! surfaces as [`PianoError::Overloaded`] and is retried after the longer
+//! of the server's hint and the escalating backoff, so a client that is
+//! shed again and again waits longer each time.
 
 use std::io;
 use std::time::{Duration, Instant};
@@ -543,8 +544,9 @@ pub struct RetryPolicy {
     pub base_delay: Duration,
     /// Ceiling on the per-attempt delay.
     pub max_delay: Duration,
-    /// Seed for the jitter stream (each delay is scaled by a factor in
-    /// `[0.5, 1.0)` drawn from a ChaCha stream over this seed).
+    /// Seed for the jitter stream (each exponential step is scaled by a
+    /// factor in `[0.5, 1.0)` drawn from a ChaCha stream over this seed,
+    /// before the [`max_delay`](Self::max_delay) ceiling).
     pub jitter_seed: u64,
 }
 
@@ -561,12 +563,23 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// The jittered delay before retry number `attempt` (zero-based).
+    /// Jitter scales the exponential step before the ceiling applies, so
+    /// the delay never shrinks from one attempt to the next: a factor of
+    /// at least ½ on a doubled step outgrows any factor below 1.
     fn backoff(&self, rng: &mut ChaCha8Rng, attempt: u32) -> Duration {
-        let exp = self
-            .base_delay
+        self.base_delay
             .saturating_mul(1u32 << attempt.min(16))
-            .min(self.max_delay);
-        exp.mul_f64(0.5 + rng.gen::<f64>() * 0.5)
+            .mul_f64(0.5 + rng.gen::<f64>() * 0.5)
+            .min(self.max_delay)
+    }
+
+    /// The one sleep before connect retry number `attempt` after the
+    /// server shed the last attempt with `hint`: the longer of the hint
+    /// and the backoff, clamped to [`max_delay`](Self::max_delay).
+    /// Repeated sheds therefore escalate, never shrinking, instead of
+    /// re-polling at the hint.
+    fn shed_delay(&self, rng: &mut ChaCha8Rng, attempt: u32, hint: Duration) -> Duration {
+        hint.max(self.backoff(rng, attempt)).min(self.max_delay)
     }
 }
 
@@ -601,12 +614,12 @@ pub struct ResilientFeed<T: Transport, D: FnMut() -> io::Result<T>> {
 
 impl<T: Transport, D: FnMut() -> io::Result<T>> ResilientFeed<T, D> {
     /// Dials and performs the [`FeedHandle::connect`] handshake,
-    /// absorbing shed responses ([`PianoError::Overloaded`] — wait out
-    /// the server's hint, clamped to [`RetryPolicy::max_delay`], then
-    /// re-dial) and transport failures (jittered exponential backoff) up
-    /// to [`RetryPolicy::max_attempts`]. Every failed attempt sleeps
-    /// exactly once, and every slept interval is visible in
-    /// [`FeedStats::backoff_total`].
+    /// absorbing shed responses ([`PianoError::Overloaded`] — wait the
+    /// longer of the server's hint and the jittered exponential backoff,
+    /// clamped to [`RetryPolicy::max_delay`], then re-dial) and transport
+    /// failures (the backoff alone) up to [`RetryPolicy::max_attempts`].
+    /// Every failed attempt sleeps exactly once, and every slept interval
+    /// is visible in [`FeedStats::backoff_total`].
     pub fn connect(
         mut dial: D,
         offered: &[WireCodec],
@@ -632,14 +645,15 @@ impl<T: Transport, D: FnMut() -> io::Result<T>> ResilientFeed<T, D> {
                 Err(e) => e,
             };
             // Exactly one sleep per failed attempt: a shed response waits
-            // out the server's hint (clamped to the policy ceiling, so a
-            // hostile or misconfigured hint cannot stall the client past
-            // its own worst-case delay), any other retryable failure
-            // waits the jittered exponential backoff.
+            // out the server's hint or the backoff, whichever is longer
+            // (clamped to the policy ceiling, so a hostile or
+            // misconfigured hint cannot stall the client past its own
+            // worst-case delay), any other retryable failure waits the
+            // jittered exponential backoff.
             let shed_hint = match &fail {
                 PianoError::Overloaded { retry_after_ms } => {
                     stats.sheds_seen += 1;
-                    Some(Duration::from_millis(*retry_after_ms).min(policy.max_delay))
+                    Some(Duration::from_millis(*retry_after_ms))
                 }
                 PianoError::Transport(_) => None,
                 _ => return Err(fail),
@@ -647,7 +661,10 @@ impl<T: Transport, D: FnMut() -> io::Result<T>> ResilientFeed<T, D> {
             if attempt >= policy.max_attempts {
                 return Err(fail);
             }
-            let delay = shed_hint.unwrap_or_else(|| policy.backoff(&mut rng, attempt));
+            let delay = match shed_hint {
+                Some(hint) => policy.shed_delay(&mut rng, attempt, hint),
+                None => policy.backoff(&mut rng, attempt),
+            };
             stats.retries += 1;
             stats.backoff_total += delay;
             std::thread::sleep(delay);
@@ -786,5 +803,36 @@ impl<T: Transport, D: FnMut() -> io::Result<T>> ResilientFeed<T, D> {
                 Err(e) => return Err(e),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn repeated_sheds_escalate_to_the_ceiling() {
+        // Consecutive 10 ms sheds: the sleeps never shrink, outgrow the
+        // hint, and settle at the ceiling instead of re-polling every
+        // 10 ms.
+        let policy = RetryPolicy::default();
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let hint = Duration::from_millis(10);
+        let sleeps: Vec<Duration> = (0..12)
+            .map(|attempt| policy.shed_delay(&mut rng, attempt, hint))
+            .collect();
+        assert!(
+            sleeps.windows(2).all(|w| w[0] <= w[1]),
+            "non-decreasing: {sleeps:?}"
+        );
+        assert!(sleeps.iter().all(|&d| d >= hint && d <= policy.max_delay));
+        assert!(
+            sleeps[6] >= Duration::from_millis(160),
+            "escalated: {sleeps:?}"
+        );
+        assert_eq!(sleeps[11], policy.max_delay, "settles at the ceiling");
+        // A hint beyond the ceiling sleeps exactly the ceiling.
+        let long = policy.shed_delay(&mut rng, 0, Duration::from_secs(3_600));
+        assert_eq!(long, policy.max_delay);
     }
 }

@@ -12,6 +12,8 @@ use std::time::Instant;
 use piano_core::stream::{AuthSession, DropCause, DropCounts, ServiceStats, SessionId};
 use piano_core::wire::{IngestFeed, Message};
 
+use crate::codec;
+
 /// Atomic ingestion counters, aggregated across connection threads (or
 /// read from the reactor thread while hosts snapshot concurrently).
 #[derive(Debug, Default)]
@@ -47,6 +49,16 @@ impl Counters {
     pub(crate) fn max_peak(&self, candidate: u64) {
         self.peak_feed_backlog
             .fetch_max(candidate, Ordering::Relaxed);
+    }
+
+    /// Counts one decoded audio frame — stream or re-check audio — that
+    /// took `wire_bytes` on the wire.
+    pub(crate) fn count_audio_frame(&self, msg: &Message, wire_bytes: u64) {
+        self.frames_decoded.fetch_add(1, Ordering::Relaxed);
+        self.wire_audio_bytes
+            .fetch_add(wire_bytes, Ordering::Relaxed);
+        self.raw_audio_bytes
+            .fetch_add(codec::raw_framed_audio_bytes(msg), Ordering::Relaxed);
     }
 
     pub(crate) fn count_drop(&self, cause: DropCause) {

@@ -88,7 +88,6 @@ use piano_core::sync::OrderedMutex;
 use piano_core::pool::FramePool;
 use piano_core::wire::{FrameReader, IngestFeed, Message, WireCodec};
 
-use crate::codec;
 use crate::framing::{io_transport, READ_BUF_BYTES};
 use crate::metrics::{audio_samples, Counters, FeedState};
 use crate::server::ServerConfig;
@@ -1165,13 +1164,8 @@ impl ReactorServer {
                         self.drop_feed(core, state, cause, &e);
                         return None;
                     }
-                    sh.counters.frames_decoded.fetch_add(1, Ordering::Relaxed);
                     sh.counters
-                        .wire_audio_bytes
-                        .fetch_add(conn.reader.consumed() - before, Ordering::Relaxed);
-                    sh.counters
-                        .raw_audio_bytes
-                        .fetch_add(codec::raw_framed_audio_bytes(&m), Ordering::Relaxed);
+                        .count_audio_frame(&m, conn.reader.consumed() - before);
                 }
                 Message::StreamEnd { session } if session == state.wire_session => {
                     state.ended = true;
@@ -1482,6 +1476,7 @@ impl ReactorServer {
     ) -> Option<Conn> {
         let wire_round = state.round as u32;
         loop {
+            let before = conn.reader.consumed();
             let msg = match conn.reader.next_frame() {
                 Ok(Some(m)) => m,
                 Ok(None) => break,
@@ -1491,15 +1486,15 @@ impl ReactorServer {
                     return None;
                 }
             };
-            match msg {
+            match &msg {
                 Message::RecheckAudio {
                     session,
                     round,
                     seq,
                     done,
                     samples,
-                } if session == state.wire_session && round == wire_round => {
-                    if seq != state.next_seq {
+                } if *session == state.wire_session && *round == wire_round => {
+                    if *seq != state.next_seq {
                         drop(conn);
                         self.drop_standing_conn(
                             Some(state.id),
@@ -1513,10 +1508,13 @@ impl ReactorServer {
                         return None;
                     }
                     state.next_seq = state.next_seq.wrapping_add(1);
+                    self.shared
+                        .counters
+                        .count_audio_frame(&msg, conn.reader.consumed() - before);
                     if !samples.is_empty() {
-                        let _ = state.voucher.push_audio(&samples);
+                        let _ = state.voucher.push_audio(samples);
                     }
-                    if done {
+                    if *done {
                         return self.conclude_recheck(core, token, conn, state);
                     }
                 }

@@ -101,7 +101,6 @@ use piano_core::sync::OrderedMutex;
 use piano_core::pool::FramePool;
 use piano_core::wire::{FrameReader, IngestFeed, Message, WireCodec};
 
-use crate::codec;
 use crate::framing::{io_transport, read_frame_deadline, READ_BUF_BYTES};
 use crate::metrics::{audio_samples, Counters, FeedState};
 use crate::transport::{Listener, Transport};
@@ -856,13 +855,8 @@ impl ServerLoop {
                             };
                             return Err(StreamFailure::Fatal(cause, e));
                         }
-                        sh.counters.frames_decoded.fetch_add(1, Ordering::Relaxed);
                         sh.counters
-                            .wire_audio_bytes
-                            .fetch_add(reader.consumed() - before, Ordering::Relaxed);
-                        sh.counters
-                            .raw_audio_bytes
-                            .fetch_add(codec::raw_framed_audio_bytes(&m), Ordering::Relaxed);
+                            .count_audio_frame(&m, reader.consumed() - before);
                     }
                     Message::StreamEnd { session: s } if s == state.wire_session => {
                         state.ended = true;
@@ -1100,19 +1094,20 @@ impl ServerLoop {
         let deadline = Instant::now() + sh.cfg.recheck_timeout;
         let mut next_seq = 0u32;
         loop {
+            let before = reader.consumed();
             let msg = match read_frame_deadline(t, reader, buf, deadline, "recheck audio") {
                 Ok(m) => m,
                 Err((cause, err)) => return Err(self.recheck_fail(Some(id), cause, err)),
             };
-            match msg {
+            match &msg {
                 Message::RecheckAudio {
                     session,
                     round: r,
                     seq,
                     done,
                     samples,
-                } if session == wire_session && r == wire_round => {
-                    if seq != next_seq {
+                } if *session == wire_session && *r == wire_round => {
+                    if *seq != next_seq {
                         return Err(self.recheck_fail(
                             Some(id),
                             DropCause::Protocol,
@@ -1122,10 +1117,12 @@ impl ServerLoop {
                         ));
                     }
                     next_seq = next_seq.wrapping_add(1);
+                    sh.counters
+                        .count_audio_frame(&msg, reader.consumed() - before);
                     if !samples.is_empty() {
-                        let _ = voucher.push_audio(&samples);
+                        let _ = voucher.push_audio(samples);
                     }
-                    if done {
+                    if *done {
                         break;
                     }
                 }

@@ -13,6 +13,9 @@
 //!   other feeds' verdicts are untouched.
 //! * `end_standing` closes every parked connection; clients observe the
 //!   close as a transport error on their next re-challenge wait.
+//! * Both gateways count every re-check answer frame in `ServiceStats`
+//!   (`frames_decoded`, `wire_audio_bytes`, `raw_audio_bytes`), exactly
+//!   like stream audio.
 
 use std::time::Duration;
 
@@ -37,6 +40,23 @@ const WAIT: Duration = Duration::from_secs(30);
 /// An `S_V` placement that ranges ≈1.56 m under the hub's 6 000-sample
 /// geometry — past the 1.0 m threshold, so the round must deny.
 const FAR_SV_OFFSET: usize = FEED_SA_OFFSET + 5_600;
+
+/// Samples per re-check answer frame.
+const RECHECK_CHUNK: usize = 1_024;
+
+/// Asserts the audio counters grew by exactly the re-check answers: per
+/// feed and round, `FEED_REC_LEN / RECHECK_CHUNK` full chunks plus the
+/// empty `done` frame, each `4 + 22 + 8·n` bytes framed. Re-check audio
+/// is raw `f64`, so wire and raw bytes agree.
+fn assert_recheck_audio_counted(before: &ServiceStats, after: &ServiceStats) {
+    let chunks = (FEED_REC_LEN / RECHECK_CHUNK) as u64;
+    let answers = (FEEDS as u64) * u64::from(ROUNDS);
+    let frames = answers * (chunks + 1);
+    let bytes = answers * (chunks * (26 + 8 * RECHECK_CHUNK as u64) + 26);
+    assert_eq!(after.frames_decoded - before.frames_decoded, frames);
+    assert_eq!(after.wire_audio_bytes - before.wire_audio_bytes, bytes);
+    assert_eq!(after.raw_audio_bytes - before.raw_audio_bytes, bytes);
+}
 
 #[test]
 fn standing_feeds_survive_rechallenge_rounds() {
@@ -96,7 +116,8 @@ fn standing_feeds_survive_rechallenge_rounds() {
                     } else {
                         recheck_recording(&recheck, &config)
                     };
-                    feed.answer_recheck(round, &rec, 1_024).expect("answer");
+                    feed.answer_recheck(round, &rec, RECHECK_CHUNK)
+                        .expect("answer");
                     verdicts.push(
                         feed.await_recheck_verdict(round, WAIT)
                             .expect("round verdict"),
@@ -123,6 +144,7 @@ fn standing_feeds_survive_rechallenge_rounds() {
         server.wait_for_standing(FEEDS, WAIT).expect("feeds park"),
         FEEDS
     );
+    let before = server.stats();
     for _ in 0..ROUNDS {
         server.begin_recheck_round();
         let ready = server
@@ -134,6 +156,7 @@ fn standing_feeds_survive_rechallenge_rounds() {
         let hub = server.with_service(|s| hub_recording_for(s, &ids));
         assert_eq!(server.recheck_scan_and_decide(&hub, 16_384), FEEDS);
     }
+    assert_recheck_audio_counted(&before, &server.stats());
     // Per-round sessions must not accumulate: every round's sessions are
     // closed once their verdicts are delivered.
     server.end_standing();
@@ -239,7 +262,8 @@ fn reactor_standing_feeds_survive_rechallenge_rounds() {
                     };
                     assert_eq!(*r, round, "rounds arrive in order");
                     let rec = recheck_recording(&recheck, &config);
-                    feed.answer_recheck(round, &rec, 1_024).expect("answer");
+                    feed.answer_recheck(round, &rec, RECHECK_CHUNK)
+                        .expect("answer");
                     verdicts.push(
                         feed.await_recheck_verdict(round, WAIT)
                             .expect("round verdict"),
@@ -263,6 +287,7 @@ fn reactor_standing_feeds_survive_rechallenge_rounds() {
         server.wait_for_standing(FEEDS, WAIT).expect("feeds park"),
         FEEDS
     );
+    let before = server.stats();
     for _ in 0..ROUNDS {
         server.begin_recheck_round();
         let ready = server
@@ -274,6 +299,7 @@ fn reactor_standing_feeds_survive_rechallenge_rounds() {
         let hub = hub_recording_sharded(server.service(), &ids);
         assert_eq!(server.recheck_scan_and_decide(&hub, 16_384), FEEDS);
     }
+    assert_recheck_audio_counted(&before, &server.stats());
     server.end_standing();
 
     for t in client_threads {

@@ -9,6 +9,10 @@
 //!   clamped to [`RetryPolicy::max_delay`]. `FeedStats::backoff_total`
 //!   records every slept interval, which is what makes the "exactly
 //!   once" property assertable.
+//! * **Flat re-polling under repeated sheds:** the single sleep was then
+//!   exactly the hint, so a client shed over and over gave up after
+//!   `max_attempts × hint`. A shed now sleeps the longer of the hint and
+//!   the escalating backoff.
 //! * **Server resume-attach busy-poll:** a `Resume` probe racing the
 //!   suspension of the connection it resumes used to spin on the
 //!   registry at a fixed tick. It now waits on a condvar that
@@ -147,6 +151,42 @@ fn transport_failures_sleep_one_jittered_backoff_each() {
         stats.backoff_total >= Duration::from_millis(6)
             && stats.backoff_total < Duration::from_millis(12),
         "backoff_total {:?} outside one-sleep-per-attempt bounds",
+        stats.backoff_total
+    );
+}
+
+#[test]
+fn consecutive_sheds_escalate_past_the_hint() {
+    // Six 10 ms sheds before a real server admits the feed. Each sleep is
+    // max(hint, backoff(attempt)) with backoff steps 5·2^k ms jittered by
+    // [0.5, 1): at least 10, 10, 10, 20, 40 and 80 ms, so 170 ms in all —
+    // a flat hint would have slept 60 ms.
+    let server = server_with(|_| {});
+    let (connector, listener) = memory_hub();
+    spawn_accept_loop(&server, listener);
+
+    let (mut scripted, _shed_peers): (Vec<MemoryStream>, Vec<MemoryStream>) =
+        (0..6).map(|_| shed_transport(10)).unzip();
+    let dial = move || -> io::Result<MemoryStream> {
+        match scripted.pop() {
+            Some(t) => Ok(t),
+            None => connector.connect(),
+        }
+    };
+    let policy = RetryPolicy {
+        max_attempts: 6,
+        base_delay: Duration::from_millis(5),
+        max_delay: Duration::from_millis(500),
+        jitter_seed: SEED + 2,
+    };
+    let feed = ResilientFeed::connect(dial, &[WireCodec::Raw], policy).expect("admitted");
+    let stats = feed.stats();
+    assert_eq!(stats.sheds_seen, 6);
+    assert_eq!(stats.retries, 6, "one sleep per shed");
+    assert!(
+        stats.backoff_total >= Duration::from_millis(170)
+            && stats.backoff_total < Duration::from_millis(320),
+        "backoff_total {:?} outside the escalating bounds",
         stats.backoff_total
     );
 }
