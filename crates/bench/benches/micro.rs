@@ -151,6 +151,32 @@ fn bench_micro(c: &mut Criterion) {
         b.iter(|| detector.detect_many_parallel(&recording, &[&signature]))
     });
 
+    // One signature's whole fine refinement at production shape (4096
+    // window, step 10, 330 grid bins, ±1500 samples): plan acquisition,
+    // `init`, 300 slides and 301 scorings. The `sliding_dft_*` rows time
+    // bare slides and hide the per-call plan. Refinements are reachable
+    // only through a scan, so the recording is sized for a three-window
+    // coarse pass (offsets 0, 1500, 3000; the paper's 1000-sample step
+    // would need five) whose maximum, at 1500, centres the refinement.
+    let refine_config = ActionConfig {
+        coarse_step: config.fine_radius,
+        ..config.clone()
+    };
+    let refine_detector = Detector::new(&refine_config);
+    let mut refine_recording = vec![0.0; config.signal_len + 2 * config.fine_radius];
+    for (i, &v) in wave.iter().enumerate() {
+        refine_recording[config.fine_radius + i] = 0.25 * v;
+    }
+    let refine_result = refine_detector.detect_many(&refine_recording, &[&signature]);
+    assert_eq!(
+        refine_result.ffts_used,
+        3 + 2 * config.fine_radius / config.fine_step + 1,
+        "three coarse windows and one full refinement"
+    );
+    group.bench_function("fine_refine", |b| {
+        b.iter(|| refine_detector.detect_many(&refine_recording, &[&signature]))
+    });
+
     // Streaming scans over the same recording. `stream_scan_2s` consumes
     // the whole buffer in audio-callback chunks and finishes (equivalent
     // result to `algorithm1_scan_2s`); `stream_to_decision` stops at the

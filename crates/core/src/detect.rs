@@ -31,7 +31,11 @@
 //!   a [`piano_dsp::sparse::SlidingDft`]: shifting the window by
 //!   `fine_step` samples costs `O(bins × step)` instead of a fresh
 //!   `O(N log N)` transform. [`ScanMode`] selects the path; `Auto` (the
-//!   default) uses it whenever the analysis window permits.
+//!   default) uses it whenever the analysis window permits. Every
+//!   signature's chosen and unchosen clusters together cover the whole
+//!   candidate grid, so [`Detector::new`] builds one sliding DFT over the
+//!   grid's clusters and each fine scan clones it (sharing the twiddles)
+//!   instead of building its own.
 //! * **Parallel coarse scan** — [`Detector::detect_many_parallel`] shards
 //!   coarse window offsets across `std::thread::scope` workers and merges
 //!   per-signature maxima with a deterministic (max power, earliest
@@ -167,56 +171,88 @@ pub enum ScanMode {
     Sparse,
 }
 
-/// Sparse-scan layout for one signature: the sorted union of all cluster
-/// bins plus each cluster's index range within it.
-struct SparseClusters {
-    bins: Vec<usize>,
-    /// `bins[start..end]` per chosen cluster, in `chosen_bins` order.
+/// The `2θ+1`-bin cluster `lo..=hi` around `center`, clamped to the
+/// `n`-bin spectrum.
+fn cluster(center: usize, theta: usize, n: usize) -> (usize, usize) {
+    (center.saturating_sub(theta), (center + theta).min(n - 1))
+}
+
+/// The sorted, deduplicated union of the clusters around `centers`.
+fn cluster_bins(centers: impl IntoIterator<Item = usize>, theta: usize, n: usize) -> Vec<usize> {
+    let mut bins: Vec<usize> = Vec::new();
+    for c in centers {
+        let (lo, hi) = cluster(c, theta, n);
+        bins.extend(lo..=hi);
+    }
+    bins.sort_unstable();
+    bins.dedup();
+    bins
+}
+
+/// Where one signature's clusters sit in a sorted bin list: `bins[start..end]`
+/// per cluster.
+#[derive(Debug, PartialEq)]
+struct ClusterRanges {
+    /// One range per chosen cluster, in `chosen_bins` order.
     chosen: Vec<(usize, usize)>,
-    /// `bins[start..end]` per unchosen cluster, in `other_bins` order.
+    /// One range per unchosen cluster, in `other_bins` order.
     other: Vec<(usize, usize)>,
 }
 
-impl SparseClusters {
-    fn build(sig: &SignalSignature, theta: usize, n: usize) -> Self {
-        let cluster = |center: usize| {
-            let lo = center.saturating_sub(theta);
-            let hi = (center + theta).min(n - 1);
-            (lo, hi)
-        };
-        let mut bins: Vec<usize> = Vec::new();
-        for &c in sig.chosen_bins.iter().chain(&sig.other_bins) {
-            let (lo, hi) = cluster(c);
-            bins.extend(lo..=hi);
-        }
-        bins.sort_unstable();
-        bins.dedup();
-        let locate = |center: usize| {
-            let (lo, hi) = cluster(center);
+impl ClusterRanges {
+    /// Locates every cluster of `sig` in the sorted, deduplicated `bins`,
+    /// or `None` if some cluster bin is missing from them.
+    ///
+    /// A located range holds exactly the cluster's bins in ascending
+    /// order, whatever other bins `bins` holds, so a cluster's power sums
+    /// the same values in the same order on any list that contains it.
+    fn locate(bins: &[usize], sig: &SignalSignature, theta: usize, n: usize) -> Option<Self> {
+        let locate = |&center: &usize| {
+            let (lo, hi) = cluster(center, theta, n);
             let start = bins.partition_point(|&b| b < lo);
             let end = bins.partition_point(|&b| b <= hi);
-            (start, end)
+            (end - start == hi - lo + 1).then_some((start, end))
         };
-        let chosen = sig.chosen_bins.iter().map(|&c| locate(c)).collect();
-        let other = sig.other_bins.iter().map(|&c| locate(c)).collect();
-        SparseClusters {
-            bins,
-            chosen,
-            other,
-        }
+        Some(ClusterRanges {
+            chosen: sig.chosen_bins.iter().map(locate).collect::<Option<_>>()?,
+            other: sig.other_bins.iter().map(locate).collect::<Option<_>>()?,
+        })
     }
+
+    /// The sorted union of `sig`'s own clusters, and where each sits in it.
+    fn own(sig: &SignalSignature, theta: usize, n: usize) -> (Vec<usize>, Self) {
+        let centers = sig.chosen_bins.iter().chain(&sig.other_bins).copied();
+        let bins = cluster_bins(centers, theta, n);
+        let ranges = Self::locate(&bins, sig, theta, n).expect("the union holds every cluster");
+        (bins, ranges)
+    }
+}
+
+/// The plan data a detector and all its clones share.
+#[derive(Debug)]
+struct DetectorPlan {
+    /// FFT plan and window tables of the dense spectra.
+    analyzer: SpectrumAnalyzer,
+    /// The sparse fine scan's sliding DFT over the union of every grid
+    /// candidate's cluster (never initialized: each fine scan clones it,
+    /// sharing its twiddle tables). Every signature drawn from the
+    /// configuration's grid has its clusters in it. `None` when the
+    /// analysis window rules out the sparse path.
+    fine: Option<SlidingDft>,
 }
 
 /// The frequency-based signal detector.
 ///
 /// Holds only immutable plan data, so it is `Send + Sync`: one detector
 /// can be shared across authentication sessions and scan workers. The
-/// analyzer (FFT plan + window tables) sits behind an `Arc`, so cloning a
-/// detector is O(1) — clones share the plan memory.
+/// plan — the analyzer (FFT plan + window tables) and the fine scan's
+/// sliding-DFT twiddles, built once here for the whole candidate grid —
+/// sits behind an `Arc`, so cloning a detector is O(1) and clones share
+/// the plan memory.
 #[derive(Debug, Clone)]
 pub struct Detector {
     config: ActionConfig,
-    analyzer: std::sync::Arc<SpectrumAnalyzer>,
+    plan: std::sync::Arc<DetectorPlan>,
 }
 
 impl Detector {
@@ -231,19 +267,25 @@ impl Detector {
         config
             .validate()
             .expect("detector requires a valid configuration");
+        let n = config.signal_len;
+        let fine = (config.analysis_window == WindowKind::Rectangular).then(|| {
+            let centers =
+                (0..config.grid.len()).map(|i| config.grid.fft_bin(i, config.sample_rate, n));
+            SlidingDft::new(n, config.fine_step, cluster_bins(centers, config.theta, n))
+        });
         Detector {
             config: config.clone(),
-            analyzer: std::sync::Arc::new(SpectrumAnalyzer::new(
-                config.signal_len,
-                config.analysis_window,
-            )),
+            plan: std::sync::Arc::new(DetectorPlan {
+                analyzer: SpectrumAnalyzer::new(n, config.analysis_window),
+                fine,
+            }),
         }
     }
 
     /// Computes the analysis power spectrum of one window exactly as the
     /// scanning loops do — exposed for diagnostics and tests.
     pub fn window_spectrum(&self, window: &[f64]) -> Vec<f64> {
-        self.analyzer.power_spectrum(window)
+        self.plan.analyzer.power_spectrum(window)
     }
 
     /// The configuration this detector runs.
@@ -298,30 +340,31 @@ impl Detector {
             self.config.signal_len,
             "window length must match signal_len"
         );
-        let clusters = SparseClusters::build(sig, self.config.theta, self.config.signal_len);
+        let n = self.config.signal_len;
+        let (bins, ranges) = ClusterRanges::own(sig, self.config.theta, n);
         let mut windowed = Vec::new();
-        self.analyzer.apply_window(window, &mut windowed);
-        let bank = GoertzelBank::new(self.config.signal_len, clusters.bins.clone());
+        self.plan.analyzer.apply_window(window, &mut windowed);
+        let bank = GoertzelBank::new(n, bins);
         let mut powers = Vec::new();
         bank.powers_into(&windowed, &mut powers);
-        self.norm_power_clustered(&powers, &clusters, sig)
+        self.norm_power_clustered(&powers, &ranges, sig)
     }
 
-    /// Algorithm 2's checks and score over per-bin raw powers laid out by
-    /// a [`SparseClusters`] plan.
+    /// Algorithm 2's checks and score over per-bin raw powers, with each
+    /// cluster's bins at its [`ClusterRanges`] range.
     fn norm_power_clustered(
         &self,
         raw_powers: &[f64],
-        clusters: &SparseClusters,
+        ranges: &ClusterRanges,
         sig: &SignalSignature,
     ) -> f64 {
         let n = self.config.signal_len as f64;
-        let scale = (2.0 / n) * (2.0 / n) * self.analyzer.power_scale();
+        let scale = (2.0 / n) * (2.0 / n) * self.plan.analyzer.power_scale();
         let alpha_rf = self.config.alpha * sig.rf;
         let beta = self.config.beta_fraction * sig.rf;
 
         let mut sum_chosen = 0.0;
-        for &(start, end) in &clusters.chosen {
+        for &(start, end) in &ranges.chosen {
             let p: f64 = raw_powers[start..end].iter().sum::<f64>() * scale;
             if p <= alpha_rf {
                 return f64::NEG_INFINITY;
@@ -329,7 +372,7 @@ impl Detector {
             sum_chosen += p;
         }
         let mut sum_other = 0.0;
-        for &(start, end) in &clusters.other {
+        for &(start, end) in &ranges.other {
             let p: f64 = raw_powers[start..end].iter().sum::<f64>() * scale;
             if self.config.enforce_beta_check && p >= beta {
                 return f64::NEG_INFINITY;
@@ -341,14 +384,14 @@ impl Detector {
 
     /// Whether the sparse fine scan is valid for this configuration.
     fn sparse_applicable(&self) -> bool {
-        self.config.analysis_window == WindowKind::Rectangular
+        self.plan.fine.is_some()
     }
 
     /// The spectrum analyzer the scan loops run — shared with
     /// [`crate::stream::StreamingDetector`] so streaming coarse windows are
     /// computed by the exact same code as offline ones.
     pub(crate) fn analyzer(&self) -> &SpectrumAnalyzer {
-        &self.analyzer
+        &self.plan.analyzer
     }
 
     pub(crate) fn resolve_mode(&self, mode: ScanMode) -> ScanMode {
@@ -565,7 +608,7 @@ impl Detector {
         let mut best: Vec<(f64, usize)> =
             vec![(f64::NEG_INFINITY, offsets.first().copied().unwrap_or(0)); sigs.len()];
         for &i in offsets {
-            self.analyzer.compute(
+            self.plan.analyzer.compute(
                 &samples[i - base..i - base + w],
                 &mut scratch,
                 &mut spectrum,
@@ -621,7 +664,7 @@ impl Detector {
                 let mut spectrum: Vec<f64> = Vec::with_capacity(w);
                 let mut j = lo;
                 loop {
-                    self.analyzer.compute(
+                    self.plan.analyzer.compute(
                         &samples[j - base..j - base + w],
                         &mut scratch,
                         &mut spectrum,
@@ -639,15 +682,14 @@ impl Detector {
                 }
             }
             ScanMode::Sparse | ScanMode::Auto => {
-                let clusters = SparseClusters::build(sig, self.config.theta, w);
-                let mut sliding = SlidingDft::new(w, step, clusters.bins.clone());
-                let mut powers: Vec<f64> = Vec::with_capacity(clusters.bins.len());
+                let (mut sliding, ranges) = self.fine_plan(sig);
+                let mut powers: Vec<f64> = Vec::with_capacity(sliding.bins().len());
                 sliding.init(&samples[lo - base..lo - base + w]);
                 let mut j = lo;
                 loop {
                     sliding.powers_into(&mut powers);
                     evals += 1;
-                    let p = self.norm_power_clustered(&powers, &clusters, sig);
+                    let p = self.norm_power_clustered(&powers, &ranges, sig);
                     if p > best_p {
                         best_p = p;
                         best_loc = j;
@@ -665,6 +707,21 @@ impl Detector {
             }
         }
         (best_p, best_loc, evals)
+    }
+
+    /// A sliding DFT for one signature's sparse fine scan and where its
+    /// clusters sit in it: a clone of the detector's shared plan, or — for
+    /// a signature whose clusters the plan lacks (drawn from another
+    /// grid) — a plan over just its own clusters.
+    fn fine_plan(&self, sig: &SignalSignature) -> (SlidingDft, ClusterRanges) {
+        let (n, theta) = (self.config.signal_len, self.config.theta);
+        if let Some(shared) = &self.plan.fine {
+            if let Some(ranges) = ClusterRanges::locate(shared.bins(), sig, theta, n) {
+                return (shared.clone(), ranges);
+            }
+        }
+        let (bins, ranges) = ClusterRanges::own(sig, theta, n);
+        (SlidingDft::new(n, self.config.fine_step, bins), ranges)
     }
 }
 
@@ -888,6 +945,130 @@ mod tests {
             (dense - sparse).abs() < 1e-6 * (1.0 + dense.abs()),
             "dense {dense} vs sparse {sparse}"
         );
+    }
+
+    /// Reference layout for one signature scanned alone: the sorted union
+    /// of its own clusters, and each cluster's index range within it.
+    fn own_layout(sig: &SignalSignature, theta: usize, n: usize) -> (Vec<usize>, ClusterRanges) {
+        let cluster = |c: usize| (c.saturating_sub(theta), (c + theta).min(n - 1));
+        let mut bins: Vec<usize> = Vec::new();
+        for &c in sig.chosen_bins().iter().chain(sig.other_bins()) {
+            let (lo, hi) = cluster(c);
+            bins.extend(lo..=hi);
+        }
+        bins.sort_unstable();
+        bins.dedup();
+        let locate = |&c: &usize| {
+            let (lo, hi) = cluster(c);
+            (
+                bins.partition_point(|&b| b < lo),
+                bins.partition_point(|&b| b <= hi),
+            )
+        };
+        let chosen = sig.chosen_bins().iter().map(locate).collect();
+        let other = sig.other_bins().iter().map(locate).collect();
+        (bins, ClusterRanges { chosen, other })
+    }
+
+    /// Reference sparse fine scan: the `fine_scan_view` loop on a sliding
+    /// DFT built afresh over `bins`.
+    fn fresh_fine_scan(
+        det: &Detector,
+        rec: &[f64],
+        sig: &SignalSignature,
+        (bins, ranges): (Vec<usize>, ClusterRanges),
+        (coarse_p, coarse_loc): (f64, usize),
+    ) -> (f64, usize, usize) {
+        let cfg = det.config();
+        let (w, step) = (cfg.signal_len, cfg.fine_step);
+        let last = rec.len() - w;
+        let lo = coarse_loc.saturating_sub(cfg.fine_radius);
+        let hi = (coarse_loc + cfg.fine_radius).min(last);
+        let mut sliding = SlidingDft::new(w, step, bins);
+        let mut powers = Vec::new();
+        sliding.init(&rec[lo..lo + w]);
+        let (mut best_p, mut best_loc, mut evals) = (coarse_p, coarse_loc, 0);
+        let mut j = lo;
+        loop {
+            sliding.powers_into(&mut powers);
+            evals += 1;
+            let p = det.norm_power_clustered(&powers, &ranges, sig);
+            if p > best_p {
+                best_p = p;
+                best_loc = j;
+            }
+            if j >= hi {
+                break;
+            }
+            let next = (j + step).min(hi);
+            sliding.advance(&rec[j..next], &rec[j + w..next + w]);
+            j = next;
+        }
+        (best_p, best_loc, evals)
+    }
+
+    #[test]
+    fn cached_fine_plan_matches_a_per_call_rebuild() {
+        let mut other_cfg = config();
+        other_cfg.theta = 3;
+        other_cfg.fine_step = 7;
+        other_cfg
+            .validate()
+            .expect("a valid non-default configuration");
+        for cfg in [config(), other_cfg] {
+            let det = Detector::new(&cfg);
+            let plan = det.plan.fine.as_ref().expect("rectangular window");
+            let (theta, n) = (cfg.theta, cfg.signal_len);
+            assert_eq!(plan.bins().len(), cfg.grid.len() * (2 * theta + 1));
+            for seed in 0..24u64 {
+                let signal = ReferenceSignal::random(&cfg, &mut rng(100 + seed));
+                let sig = SignalSignature::of(&signal, &cfg);
+                let layout = own_layout(&sig, theta, n);
+                // Every signature's clusters cover the whole grid, so its
+                // own layout *is* the cached plan's.
+                let (sliding, ranges) = det.fine_plan(&sig);
+                assert_eq!(sliding.bins(), &layout.0[..], "seed {seed}");
+                assert_eq!(plan.bins(), &layout.0[..], "seed {seed}");
+                assert_eq!(ranges, layout.1, "seed {seed}");
+
+                let at = 3_000 + 97 * seed as usize;
+                let rec = embed(&signal.waveform(), at, 12_000, 0.3);
+                let coarse = (f64::MIN, at + 420);
+                let cached =
+                    det.fine_scan_view(&rec, 0, rec.len() - n, &sig, coarse, ScanMode::Sparse);
+                let fresh = fresh_fine_scan(&det, &rec, &sig, layout, coarse);
+                assert_eq!(cached.0.to_bits(), fresh.0.to_bits(), "seed {seed}");
+                assert_eq!((cached.1, cached.2), (fresh.1, fresh.2), "seed {seed}");
+                assert!(
+                    cached.0 > cfg.epsilon * sig.rs(),
+                    "seed {seed}: signal refined"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_signature_from_another_grid_scans_on_its_own_clusters() {
+        let cfg = config();
+        let det = Detector::new(&cfg);
+        let mut foreign_cfg = config();
+        foreign_cfg.grid =
+            crate::freqgrid::FrequencyGrid::new(26_000.0, 34_000.0, 20).expect("a valid grid");
+        let signal = ReferenceSignal::random(&foreign_cfg, &mut rng(40));
+        let sig = SignalSignature::of(&signal, &foreign_cfg);
+        let layout = own_layout(&sig, cfg.theta, cfg.signal_len);
+        let (sliding, ranges) = det.fine_plan(&sig);
+        assert_eq!(sliding.bins(), &layout.0[..]);
+        assert_eq!(ranges, layout.1);
+
+        let rec = embed(&signal.waveform(), 4_321, 12_000, 0.3);
+        let coarse = (f64::MIN, 4_000);
+        let last = rec.len() - cfg.signal_len;
+        let scanned = det.fine_scan_view(&rec, 0, last, &sig, coarse, ScanMode::Sparse);
+        let fresh = fresh_fine_scan(&det, &rec, &sig, layout, coarse);
+        assert_eq!(scanned.0.to_bits(), fresh.0.to_bits());
+        assert_eq!((scanned.1, scanned.2), (fresh.1, fresh.2));
+        assert!((scanned.1 as isize - 4_321).abs() <= cfg.fine_step as isize);
     }
 
     #[test]

@@ -41,7 +41,8 @@
 //! * The fine scan uses a **sparse sliding DFT** over only the `2θ+1`
 //!   bins around each candidate ([`piano_dsp::sparse::SlidingDft`]):
 //!   shifting by `fine_step` samples costs `O(bins × step)` instead of an
-//!   `O(N log N)` transform per window.
+//!   `O(N log N)` transform per window. Its twiddles are built once per
+//!   detector, for the whole candidate grid, and shared by every scan.
 //! * [`detect::Detector::detect_many_parallel`] shards the coarse scan
 //!   across `std::thread::scope` workers with a deterministic merge —
 //!   results are bit-identical to the serial scan for every worker count.

@@ -343,6 +343,14 @@ fn radix2_stage_scalar(buf: &mut [Complex64], twiddles: &[Complex64]) {
 /// scalar order, so all backends are bit-identical. A `backend` the
 /// running CPU cannot execute runs the scalar reference instead.
 ///
+/// The AVX2 path keeps four bin-pair accumulators (eight bins) in flight
+/// per pass over `m`, so the CPU overlaps four independent add chains
+/// instead of stalling on one; leftover pairs and an odd last bin run as
+/// before. The extra accumulators belong to *other* bins — no bin's sum
+/// is split or reassociated — so each lane still starts from zero and
+/// performs the scalar `acc + tw·d` sequence (multiply, then add, no
+/// FMA) in the scalar order of `m`.
+///
 /// # Panics
 ///
 /// Panics if the slice lengths are inconsistent
@@ -617,26 +625,48 @@ mod x86 {
     ) {
         let s = dropped.len();
         let n = state.len();
+        let cp = corr.as_ptr() as *const f64;
         let rp = rot.as_ptr() as *const f64;
         let sp = state.as_mut_ptr() as *mut f64;
-        let mut i = 0;
-        while i + 2 <= n {
-            // Two bins per register; each lane pair accumulates its own
-            // bin in scalar order (the shared `added−dropped` delta is
-            // the same IEEE operation both scalar iterations perform).
-            let row0 = corr.as_ptr().add(i * s) as *const f64;
-            let row1 = corr.as_ptr().add((i + 1) * s) as *const f64;
-            let mut acc = _mm256_setzero_pd();
-            for m in 0..s {
-                let d = _mm256_set1_pd(added[m] - dropped[m]);
-                let lo = _mm_loadu_pd(row0.add(2 * m));
-                let hi = _mm_loadu_pd(row1.add(2 * m));
-                let tw = _mm256_insertf128_pd(_mm256_castpd128_pd256(lo), hi, 1);
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(tw, d));
-            }
+        // Rows `i` and `i + 1` of the bin-major twiddle table, at tap `m`,
+        // as one register (bin `i` in the low lane pair).
+        let twiddle_pair = |i: usize, m: usize| {
+            let lo = _mm_loadu_pd(cp.add(2 * (i * s + m)));
+            let hi = _mm_loadu_pd(cp.add(2 * ((i + 1) * s + m)));
+            _mm256_insertf128_pd(_mm256_castpd128_pd256(lo), hi, 1)
+        };
+        // `x ← (x + acc)·rot` for bins `i` and `i + 1`.
+        let finish_pair = |i: usize, acc: __m256d| {
             let x = _mm256_loadu_pd(sp.add(2 * i));
             let r = _mm256_loadu_pd(rp.add(2 * i));
             _mm256_storeu_pd(sp.add(2 * i), cmul_avx(_mm256_add_pd(x, acc), r));
+        };
+        let mut i = 0;
+        // Four bin pairs per pass: four independent accumulator chains.
+        // Each lane pair accumulates its own bin in scalar order (the
+        // shared `added−dropped` delta is the same IEEE operation every
+        // scalar iteration performs).
+        while i + 8 <= n {
+            let mut acc = [_mm256_setzero_pd(); 4];
+            for m in 0..s {
+                let d = _mm256_set1_pd(added[m] - dropped[m]);
+                for (k, a) in acc.iter_mut().enumerate() {
+                    *a = _mm256_add_pd(*a, _mm256_mul_pd(twiddle_pair(i + 2 * k, m), d));
+                }
+            }
+            for (k, &a) in acc.iter().enumerate() {
+                finish_pair(i + 2 * k, a);
+            }
+            i += 8;
+        }
+        // Leftover pairs, one accumulator each.
+        while i + 2 <= n {
+            let mut acc = _mm256_setzero_pd();
+            for m in 0..s {
+                let d = _mm256_set1_pd(added[m] - dropped[m]);
+                acc = _mm256_add_pd(acc, _mm256_mul_pd(twiddle_pair(i, m), d));
+            }
+            finish_pair(i, acc);
             i += 2;
         }
         if i < n {

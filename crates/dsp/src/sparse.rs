@@ -17,11 +17,21 @@
 //!   `X_{j+s}[k] = ω^{-ks}·(X_j[k] + Σ_{m<s} (x[j+N+m] − x[j+m])·ω^{km})`
 //!   with `ω = e^{-2πi/N}`. For the default configuration this replaces a
 //!   ~22k-butterfly FFT per fine window with ~330 × 11 multiply-adds.
+//!   The update runs in [`crate::simd::sliding_advance`]; its AVX2 path
+//!   keeps four independent bin-pair accumulators in flight, so the
+//!   multiply-add chains of different bins overlap instead of waiting on
+//!   one another. Each bin still has its own accumulator, summed from
+//!   zero in the scalar order (multiply, then add, no FMA), so every
+//!   tracked bin is bit-identical on every backend.
+//!   The twiddle tables are shared by clones, so one plan can serve many
+//!   scans (the detector builds one per configuration).
 //!
 //! Both paths compute the *exact* DFT bins (the sliding update is
 //! algebraically exact; rounding drift over a full fine scan stays orders
 //! of magnitude below the detector's thresholds, and every fine scan
 //! re-initializes from a fresh transform).
+
+use std::sync::Arc;
 
 use crate::complex::Complex64;
 use crate::fft::cached_real_plan;
@@ -114,19 +124,30 @@ impl GoertzelBank {
 /// forward with [`SlidingDft::advance`], handing in the samples that left
 /// and entered. Each advance costs `O(bins × step)` — independent of the
 /// window length.
+///
+/// The bins and twiddle tables are immutable after [`SlidingDft::new`]
+/// and sit behind an `Arc`: cloning shares them and copies only the
+/// running state. A never-initialized instance is therefore a cheap
+/// template — clone it per scan instead of recomputing the twiddles.
 #[derive(Debug, Clone)]
 pub struct SlidingDft {
     n: usize,
     step: usize,
+    tables: Arc<SlidingTables>,
+    /// Current `X[k]` per tracked bin.
+    state: Vec<Complex64>,
+    scratch: Vec<Complex64>,
+    spectrum: Vec<Complex64>,
+}
+
+/// The read-only half of a [`SlidingDft`], shared by its clones.
+#[derive(Debug)]
+struct SlidingTables {
     bins: Vec<usize>,
     /// Per bin: `ω^{-k·step}` — the phase rotation of one nominal step.
     rot: Vec<Complex64>,
     /// Bin-major `[bin][m]`: `ω^{k·m}` for `m < step`.
     corr: Vec<Complex64>,
-    /// Current `X[k]` per tracked bin.
-    state: Vec<Complex64>,
-    scratch: Vec<Complex64>,
-    spectrum: Vec<Complex64>,
 }
 
 impl SlidingDft {
@@ -156,9 +177,7 @@ impl SlidingDft {
         SlidingDft {
             n,
             step,
-            bins,
-            rot,
-            corr,
+            tables: Arc::new(SlidingTables { bins, rot, corr }),
             state: Vec::new(),
             scratch: Vec::new(),
             spectrum: Vec::new(),
@@ -167,7 +186,7 @@ impl SlidingDft {
 
     /// The tracked bins, in construction order.
     pub fn bins(&self) -> &[usize] {
-        &self.bins
+        &self.tables.bins
     }
 
     /// Window length.
@@ -197,7 +216,7 @@ impl SlidingDft {
         plan.forward_full_with(window, &mut self.scratch, &mut self.spectrum, backend);
         self.state.clear();
         self.state
-            .extend(self.bins.iter().map(|&b| self.spectrum[b % self.n]));
+            .extend(self.tables.bins.iter().map(|&b| self.spectrum[b % self.n]));
     }
 
     /// Slides the window forward by `dropped.len()` samples: `dropped` are
@@ -233,13 +252,13 @@ impl SlidingDft {
             simd::sliding_advance(
                 backend,
                 &mut self.state,
-                &self.rot,
-                &self.corr,
+                &self.tables.rot,
+                &self.tables.corr,
                 dropped,
                 added,
             );
         } else {
-            for (i, &b) in self.bins.iter().enumerate() {
+            for (i, &b) in self.tables.bins.iter().enumerate() {
                 let b = b % self.n;
                 let mut acc = Complex64::ZERO;
                 for (m, (&a, &d)) in added.iter().zip(dropped).enumerate() {

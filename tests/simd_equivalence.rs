@@ -269,8 +269,12 @@ fn sliding_dft_stays_bitwise_scalar_over_ten_thousand_steps() {
     let n = 256;
     let step = 4;
     const STEPS: usize = 10_000;
-    // Seven bins: odd count exercises every backend's remainder lane.
-    let bins = vec![0usize, 3, 17, 100, 128, 200, 255];
+    // Nineteen bins: AVX2 runs two four-pair passes, one leftover pair
+    // and the odd remainder lane; the two-lane backends run nine pairs
+    // and the remainder lane.
+    let bins = vec![
+        0usize, 3, 17, 29, 41, 64, 77, 100, 113, 128, 141, 159, 170, 186, 200, 213, 231, 244, 255,
+    ];
     let mut rng = ChaCha8Rng::seed_from_u64(0x51D_57E9);
     let rec: Vec<f64> = (0..n + step * STEPS)
         .map(|_| rng.gen_range(-100.0..100.0))
